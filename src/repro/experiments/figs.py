@@ -29,20 +29,25 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.designated import DesignatedCoreMap
 from repro.cpu.costs import CostModel
 from repro.experiments.format import format_table
 from repro.experiments.runner import SweepRunner, default_runner
 from repro.experiments.spec import Scenario
 from repro.faults.plan import FaultPlan, core_crash
 from repro.faults.study import ResilienceResult, run_resilience
-from repro.net.five_tuple import FiveTuple
+from repro.net.five_tuple import PROTO_TCP, FiveTuple
 from repro.net.packet import make_tcp_packet
 from repro.net.tcp_flags import SYN
-from repro.nic.rss import SYMMETRIC_RSS_KEY, RssHasher
+from repro.nic.rss import SYMMETRIC_RSS_KEY, RssHasher, rss_input_bytes, toeplitz_table_for
 from repro.sim.engine import Simulator
 from repro.sim.timeunits import MILLISECOND, SECOND
-from repro.trafficgen.flows import random_tcp_flows
+from repro.trafficgen.flows import (
+    CLIENT_NET,
+    SERVER_NET,
+    SERVER_PORT,
+    draw_endpoints,
+    random_tcp_flows,
+)
 
 MODES = ("rss", "sprayer", "scr")
 NF_CYCLES = 3000
@@ -81,16 +86,42 @@ def hotspot_flows(
     concentrates on the same core under RSS (queue) and under Sprayer
     (designated core), which is exactly what an adversary crafting
     five-tuples against a known hash key would arrange.
+
+    The flows, and the state ``rng`` is left in, equal those of
+    filtering ``random_tcp_flows(1, rng)`` candidates through
+    ``RssHasher.queue_for`` and ``DesignatedCoreMap.core_for``. Both
+    are part of the contract: :func:`run_syn_flood` keeps drawing flood
+    checksums from ``rng``. The two maps hash the same input with the
+    same symmetric key, so one hash serves both tests. The Toeplitz
+    hash is XOR-linear in its input bytes, so the fixed bytes (both /16
+    prefixes and the server port) fold into one constant and a
+    candidate costs six table lookups.
     """
-    hasher = RssHasher(num_cores, SYMMETRIC_RSS_KEY)
-    designated = DesignatedCoreMap(num_cores)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not 0 <= target < num_cores:
+        raise ValueError(f"target core {target} is outside range({num_cores})")
+    table = RssHasher(num_cores, SYMMETRIC_RSS_KEY).indirection_table
+    if target not in table:
+        raise ValueError(f"no RSS indirection slot maps to core {target}")
+    size = len(table)
+    toeplitz = toeplitz_table_for(SYMMETRIC_RSS_KEY)
+    # Input bytes 2-3 and 6-7 are the host parts of the two addresses,
+    # 8-9 the client port; a zero byte contributes nothing.
+    t2, t3, t6, t7, t8, t9 = (toeplitz.tables[pos] for pos in (2, 3, 6, 7, 8, 9))
+    fixed = toeplitz.hash(rss_input_bytes(
+        FiveTuple(CLIENT_NET, SERVER_NET, 0, SERVER_PORT, PROTO_TCP)
+    ))
     flows: List[FiveTuple] = []
     seen: Set[FiveTuple] = set(exclude)
     while len(flows) < count:
-        flow = random_tcp_flows(1, rng)[0]
-        if flow in seen:
+        src, dst, port = draw_endpoints(rng)
+        h = (fixed ^ t2[src >> 8] ^ t3[src & 0xFF] ^ t6[dst >> 8] ^ t7[dst & 0xFF]
+             ^ t8[port >> 8] ^ t9[port & 0xFF])
+        if table[h % size] != target or h % num_cores != target:
             continue
-        if hasher.queue_for(flow) != target or designated.core_for(flow) != target:
+        flow = FiveTuple(CLIENT_NET | src, SERVER_NET | dst, port, SERVER_PORT, PROTO_TCP)
+        if flow in seen:
             continue
         seen.add(flow)
         flows.append(flow)
