@@ -5,9 +5,8 @@ reduced but shape-preserving parameters), prints the resulting rows in
 the same layout the paper reports, and stores them in pytest-benchmark's
 ``extra_info`` so they land in any saved benchmark JSON.
 
-Persistence goes through :class:`repro.perf.io.TableLog`, the same io
-module the ``python -m repro.perf`` harness uses, so every benchmark
-artifact the repo produces is written by one code path.
+Every table is also written to ``benchmarks/latest_tables.txt``, which
+the session's first table truncates and the rest append to.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ import sys
 from typing import Dict, List, Sequence
 
 from repro.experiments.format import format_table
-from repro.perf.io import TableLog
 
 #: Every record_rows call appends its table here (pytest's fd-level
 #: capture swallows stdout for passing tests, and the tables should
 #: survive a plain `pytest benchmarks/ --benchmark-only` run). The
-#: TableLog truncates on the session's first write.
+#: session's first write truncates it.
 TABLES_PATH = pathlib.Path(__file__).with_name("latest_tables.txt")
-_table_log = TableLog(TABLES_PATH)
+_truncated = False
 
 
 def record_rows(benchmark, rows: List[Dict], title: str, columns: Sequence[str] = None):
@@ -34,4 +32,7 @@ def record_rows(benchmark, rows: List[Dict], title: str, columns: Sequence[str] 
     benchmark.extra_info["rows"] = rows
     text = format_table(rows, columns=columns, title=title)
     sys.stdout.write("\n" + text + "\n")  # visible with `pytest -s`
-    _table_log.add(text, title=title)
+    global _truncated
+    with open(TABLES_PATH, "a" if _truncated else "w") as handle:
+        handle.write(text + "\n\n")
+    _truncated = True

@@ -114,7 +114,7 @@ class SimulationPurity(Rule):
         "raw entropy. Use repro.sim.rng.RngStreams (or a random.Random "
         "seeded from one) and the sim clock (sim.now / ctx.now). "
         "time.perf_counter is allowed: it measures the simulator itself "
-        "(perf harness), never simulated behaviour."
+        "(wall-time reports), never simulated behaviour."
     )
 
     def applies(self, ctx: FileContext) -> bool:

@@ -114,12 +114,15 @@ class TestHashCacheEquivalence:
     @settings(max_examples=50, deadline=None)
     def test_memo_reset_does_not_change_hashes(self, key, flows):
         # A cache_limit of 2 forces constant clear-on-overflow resets;
-        # results must still match an unbounded hasher's.
+        # results must still match an unbounded hasher's, and neither
+        # memo may ever hold more than cache_limit entries.
         tiny = RssHasher(num_queues=8, key=key, cache_limit=2)
         unbounded = RssHasher(num_queues=8, key=key)
         for flow in flows + flows:
             assert tiny.hash(flow) == unbounded.hash(flow)
+            assert len(tiny._cache) <= 2
             assert tiny.queue_for(flow) == unbounded.queue_for(flow)
+            assert len(tiny._cache) <= 2 and len(tiny._queue_cache) <= 2
 
     @given(five_tuples(), st.integers(min_value=1, max_value=16),
            st.booleans())
@@ -132,8 +135,11 @@ class TestHashCacheEquivalence:
         assert dmap.core_for(flow) == reference  # memo hit
         tiny = DesignatedCoreMap(num_cores, symmetric=symmetric, cache_limit=1)
         assert tiny.core_for(flow) == reference  # forced-reset path
+        assert tiny.cache_size() <= 1
+        reverse_core = tiny.core_for(flow.reversed())
+        assert tiny.cache_size() <= 1  # the memo stays within cache_limit
         if symmetric:
-            assert tiny.core_for(flow.reversed()) == reference
+            assert reverse_core == reference
 
 
 class TestSprayRuleProperties:
